@@ -1,13 +1,14 @@
 GO ?= go
 
 # The benchmarks the perf gate watches: the periodicity hot path (dsp),
-# the detector built on it (core), the sharded streaming ingest (parse,
-# direct-to-summary aggregation, and the batch comparison point), and the
-# daemon's file-follow tail path (source).
+# the detector built on it (core), the interval GMM the detector fits per
+# pair (stats), the sharded streaming ingest (parse, direct-to-summary
+# aggregation, and the batch comparison point), and the daemon's
+# file-follow tail path (source).
 # -benchtime is kept short so ten repetitions stay affordable in CI; the
 # gate compares medians, which tolerates short per-repetition runs.
-BENCH_PATTERN ?= Periodogram|Autocorrelation|Detector|IngestParse|IngestToSummaries|BatchToSummaries|FollowTail|QueryRankedCached
-BENCH_PKGS    ?= ./internal/dsp ./internal/core ./internal/ingest ./internal/source
+BENCH_PATTERN ?= Periodogram|Autocorrelation|Detector|GMM|IngestParse|IngestToSummaries|BatchToSummaries|FollowTail|QueryRankedCached
+BENCH_PKGS    ?= ./internal/dsp ./internal/core ./internal/stats ./internal/ingest ./internal/source
 BENCH_FLAGS   ?= -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=10 -benchtime=300x -timeout=20m
 
 # The full-pipeline benchmark runs the detector over every pair, so one
@@ -73,13 +74,15 @@ test-race:
 # A few seconds of coverage-guided fuzzing over each untrusted decoder —
 # the batch record parser, the zero-copy view parser, the sharded-ingest
 # line path built on it, and the mrx frame decoder that coordinator and
-# workers speak over pipes — cheap enough to run routinely. The patterns
-# are anchored: -fuzz errors out when it matches more than one target.
+# workers speak over pipes — plus the interval GMM against its per-point
+# reference, cheap enough to run routinely. The patterns are anchored:
+# -fuzz errors out when it matches more than one target.
 fuzz-smoke:
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecord$$' -fuzztime=5s
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecordView$$' -fuzztime=5s
 	$(GO) test ./internal/ingest -run='^$$' -fuzz='FuzzIngestLine$$' -fuzztime=5s
 	$(GO) test ./internal/mrx -run='^$$' -fuzz='FuzzFrameDecode$$' -fuzztime=5s
+	$(GO) test ./internal/stats -run='^$$' -fuzz='FuzzFitGMMMatchesReference$$' -fuzztime=5s
 
 tidy:
 	$(GO) mod tidy

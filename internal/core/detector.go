@@ -288,7 +288,7 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 		if len(nonzero) > cfg.GMMMaxIntervalSample {
 			sc.sample = sample // retain the grown backing array
 		}
-		if sel, gmmErr := stats.FitBestGMM(sample, cfg.GMMMaxComponents, stats.GMMConfig{}); gmmErr == nil {
+		if sel, gmmErr := sc.gmm.FitBestGMM(sample, cfg.GMMMaxComponents, stats.GMMConfig{}); gmmErr == nil {
 			res.GMM = sel
 			// Dominant component means become candidate periods. This also
 			// covers the single-component case: under heavy timing jitter

@@ -374,6 +374,33 @@ func TestDetectSeriesNilIntervals(t *testing.T) {
 	}
 }
 
+func TestDetectSeriesInfiniteInterval(t *testing.T) {
+	// A +Inf interval passes the positive-interval filter and reaches the
+	// GMM sample. The fit must fail cleanly instead of promoting its NaN
+	// mean to a candidate period.
+	series := make([]float64, 500)
+	for i := 0; i < 500; i += 10 {
+		series[i] = 1
+	}
+	intervals := make([]float64, 49)
+	for i := range intervals {
+		intervals[i] = 50
+	}
+	intervals[20] = math.Inf(1)
+	res, err := NewDetector(DefaultConfig()).DetectSeries(series, 5, intervals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GMM != nil {
+		t.Errorf("GMM fitted on a non-finite sample: %+v", res.GMM.Best)
+	}
+	for _, c := range res.Candidates {
+		if c.Origin == OriginGMM || math.IsNaN(c.Period) {
+			t.Errorf("unexpected candidate %+v", c)
+		}
+	}
+}
+
 func TestDetectConstantSeries(t *testing.T) {
 	// Every bin occupied: zero-variance series, nothing to detect.
 	series := make([]float64, 64)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"baywatch/internal/dsp"
+	"baywatch/internal/stats"
 )
 
 // detectScratch bundles every reusable buffer the detector's steady-state
@@ -30,6 +31,8 @@ type detectScratch struct {
 	sample    []float64 // t-test / GMM subsample buffer
 	near      []float64 // intervals near a candidate period (jitter estimate)
 	rebinned  []float64 // candidate-adapted rebinned series (Step 3)
+
+	gmm stats.GMMScratch // interval GMM workspace (Step 2)
 
 	// acf caches the autocorrelation per rebin factor within one
 	// DetectSeries call; acfFree recycles the value buffers across calls.

@@ -147,9 +147,16 @@ func NormalPDF(x, mean, sigma float64) float64 {
 // LogNormalPDF returns log(NormalPDF(x, mean, sigma)), computed without
 // underflow for extreme z.
 func LogNormalPDF(x, mean, sigma float64) float64 {
+	return logNormalPDF(x, mean, sigma, math.Log(sigma), 0.5*math.Log(2*math.Pi))
+}
+
+// logNormalPDF is LogNormalPDF with log(sigma) and ½·log(2π) passed in, so
+// a caller evaluating many points against one sigma takes both logarithms
+// once.
+func logNormalPDF(x, mean, sigma, logSigma, halfLog2Pi float64) float64 {
 	if sigma <= 0 {
 		return math.Inf(-1)
 	}
 	z := (x - mean) / sigma
-	return -0.5*z*z - math.Log(sigma) - 0.5*math.Log(2*math.Pi)
+	return -0.5*z*z - logSigma - halfLog2Pi
 }
